@@ -3,10 +3,12 @@
 Emits ``BENCH_translate.json`` at the repo root: rule-lookup
 throughput (lookups/sec, ns/lookup) for the paper's opcode-mean hash
 matcher vs. the mnemonic-trie index, and whole-block translation
-throughput (blocks/sec) for the greedy cover under both matchers plus
-the indexed lowest-cost DP cover.  The acceptance gate is the indexed
-matcher sustaining at least 2x the legacy matcher's lookups/sec on the
-real learned-rule population.
+throughput (blocks/sec, ms/block) for the greedy cover under both
+matchers plus the indexed lowest-cost DP cover, and the DP cover's
+ms/block over the indexed greedy cover's (``dp_vs_greedy``).  ``cpus``
+records the CPUs the run could use.  The acceptance gate is the
+indexed matcher sustaining at least 2x the legacy matcher's
+lookups/sec on the real learned-rule population.
 """
 
 import json
@@ -112,6 +114,7 @@ def test_translate_throughput(benchmark, context):
         return {
             "bench": "translate_throughput",
             "python": sys.version.split()[0],
+            "cpus": len(os.sched_getaffinity(0)),
             "target": TARGET,
             "rules": len(rules),
             "blocks": len(starts),
@@ -122,6 +125,10 @@ def test_translate_throughput(benchmark, context):
                 / lookup["legacy"]["lookups_per_second"], 2
             ),
             "translate": translate,
+            "dp_vs_greedy": round(
+                translate["indexed_dp"]["ms_per_block"]
+                / translate["indexed"]["ms_per_block"], 3
+            ),
         }
 
     payload = run_once(benchmark, measure)
@@ -135,7 +142,9 @@ def test_translate_throughput(benchmark, context):
     print(f"  lookup speedup: {payload['lookup_speedup']}x "
           f"(gate: >= {MIN_LOOKUP_SPEEDUP}x)")
     for mode, row in payload["translate"].items():
-        print(f"  {mode:>10s}: {row['blocks_per_second']} blocks/s")
+        print(f"  {mode:>10s}: {row['blocks_per_second']} blocks/s "
+              f"({row['ms_per_block']} ms/block)")
+    print(f"  DP vs greedy: {payload['dp_vs_greedy']}x ms/block")
 
     # Both matchers hit the same positions (they are exact).
     assert payload["lookup"]["legacy"]["hit_positions"] == \

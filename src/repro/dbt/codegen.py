@@ -10,20 +10,23 @@ of the block, and written back (liveness-driven: only dirty ones)
 before every block exit.
 
 After lowering, a copy-propagation + dead-mov peephole models TCG's
-register-allocator coalescing, and the shared linear-scan allocator
-maps virtual registers onto the six usable x86 registers (spills go to
-an env scratch area).
+register-allocator coalescing, and :func:`allocate` maps virtual
+registers onto the six usable x86 registers in one TCG-style forward
+pass over the straight-line block (spills go to an env scratch area).
+The MiniC compiler's iterative linear scan
+(:mod:`repro.minic.backend.regalloc`) stays with the compiler, whose
+functions have loops and calls.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 from repro.host_x86 import isa as x86_isa
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
-from repro.minic.backend.mach import MachineFunction, TargetInfo, is_vreg
-from repro.minic.backend.regalloc import allocate
+from repro.minic.backend.mach import is_vreg, rewrite_registers
 from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
 
 # CPU env layout (absolute addresses in the shared flat memory).
@@ -49,30 +52,6 @@ def tb_label(guest_addr: int) -> str:
 
 def env_mem(offset: int) -> Mem:
     return Mem(base=None, disp=ENV_BASE + offset, var="env")
-
-
-def dbt_target_info() -> TargetInfo:
-    # esi/edi first: they cannot serve setcc/movb byte operands, so
-    # keeping unconstrained values there leaves the low8-capable
-    # registers free for flag materialization.
-    return TargetInfo(
-        name="dbt-x86",
-        alloc_order=("esi", "edi", "eax", "ecx", "edx", "ebx"),
-        callee_saved=(),
-        caller_saved=(),
-        low8_regs=("eax", "ecx", "edx", "ebx"),
-        defs=x86_isa.defined_registers,
-        uses=x86_isa.used_registers,
-        is_branch=x86_isa.is_branch,
-        branch_condition=x86_isa.branch_condition,
-        is_call=x86_isa.is_call,
-        spill_load=lambda reg, off: Instruction(
-            "movl", (env_mem(SPILL_BASE + off), Reg(reg))
-        ),
-        spill_store=lambda reg, off: Instruction(
-            "movl", (Reg(reg), env_mem(SPILL_BASE + off))
-        ),
-    )
 
 
 @dataclass
@@ -322,9 +301,9 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
 
     Models TCG's register-allocator move coalescing: ``movl %a, %b``
     makes later uses of ``%b`` read ``%a`` (until either is redefined),
-    after which unused pure ``movl`` destinations are dropped.  Only
-    ``movl`` is touched — everything else may set EFLAGS that a later
-    jcc/setcc consumes.
+    after which pure ``movl`` destinations no later instruction reads
+    are dropped.  Only ``movl`` is touched — everything else may set
+    EFLAGS that a later jcc/setcc consumes.
     """
     replacement: dict[str, str] = {}
 
@@ -338,15 +317,13 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
         # Never substitute a register the instruction *writes* — on
         # two-address x86 the destination is read-modify-write, and
         # redirecting it would move the result into the wrong register.
-        written = set(x86_isa.defined_registers(instr))
+        defs = x86_isa.defined_registers(instr)
         mapping = {}
         for reg in instr.registers():
             base = reg.name[:-2] if reg.name.endswith(".b") else reg.name
-            if base in replacement and base not in written:
+            if base in replacement and base not in defs:
                 mapping[base] = replacement[base]
         if mapping:
-            from repro.minic.backend.mach import rewrite_registers
-
             instr = rewrite_registers(instr, mapping)
             if instr.meta and "needs_low8" in instr.meta:
                 instr.meta["needs_low8"] = tuple(
@@ -357,7 +334,6 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
             rewritten.append(instr)
             replacement.clear()
             continue
-        defs = x86_isa.defined_registers(instr)
         if (
             instr.mnemonic == "movl"
             and isinstance(instr.operands[0], Reg)
@@ -374,39 +350,156 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
         for reg in defs:
             invalidate(reg)
         rewritten.append(instr)
-    return _drop_dead_movs(rewritten)
+    # Dead movs, one backward liveness sweep.  Nothing is live out of a
+    # block (guest state reaches the env through the write-back movs),
+    # so a movl into a vreg that no later instruction reads is dead.
+    live: set[str] = set()
+    kept: list[Instruction] = []
+    for instr in reversed(rewritten):
+        dst = instr.operands[-1] if instr.mnemonic == "movl" else None
+        if isinstance(dst, Reg) and is_vreg(dst.name) \
+                and dst.name not in live:
+            continue
+        live.difference_update(x86_isa.defined_registers(instr))
+        live.update(x86_isa.used_registers(instr))
+        kept.append(instr)
+    kept.reverse()
+    return kept
 
 
-def _drop_dead_movs(instrs: list[Instruction]) -> list[Instruction]:
-    while True:
-        used: set[str] = set()
-        for instr in instrs:
-            for reg in x86_isa.used_registers(instr):
-                used.add(reg)
-        kept: list[Instruction] = []
-        dropped = False
-        for instr in instrs:
-            if (
-                instr.mnemonic == "movl"
-                and isinstance(instr.operands[1], Reg)
-                and is_vreg(instr.operands[1].name)
-                and instr.operands[1].name not in used
-            ):
-                dropped = True
+# -- register allocation --------------------------------------------------------
+
+#: Host registers in allocation order.  esi/edi come first: they cannot
+#: serve setcc/movb byte operands, so keeping unconstrained values there
+#: leaves the low8-capable registers free for flag materialization.
+ALLOC_ORDER = ("esi", "edi", "eax", "ecx", "edx", "ebx")
+LOW8_ORDER = ("eax", "ecx", "edx", "ebx")
+
+
+def allocate(instrs: list[Instruction]) -> list[Instruction]:
+    """Map a block's vregs onto :data:`ALLOC_ORDER` in one forward pass.
+
+    A translated block is straight-line code whose only jumps are its
+    exits, and no vreg is live out of it, so TCG's one-pass local
+    allocation suffices.  A backward sweep derives each instruction's
+    vreg reads and writes once, and for every vreg it touches the
+    value's next read and the last read before its next pure write (the
+    stretch the value must stay in one register).  The forward sweep
+    then hands out a register at each value's first touch, frees it
+    after the value's last read, and under pressure evicts the value
+    whose next read is furthest away.  An evicted value is stored to an
+    env spill slot only when dirty (no slot holds its current value)
+    and reloaded before its next read.  ``needs_low8`` vregs get only
+    byte-addressable registers, and a physical register the code names
+    (``%ecx`` of a variable shift) is never handed out across the
+    stretch where it is busy.
+    """
+    count = len(instrs)
+    # -- backward sweep --------------------------------------------------
+    facts: list = [None] * count
+    next_read: dict[str, int] = {}
+    stretch_end: dict[str, int] = {}
+    busy: dict[str, list[int]] = {}  # physical reg -> busy positions
+    fixed_live: set[str] = set()
+    low8: set[str] = set()
+    for pos in range(count - 1, -1, -1):
+        instr = instrs[pos]
+        uses = x86_isa.used_registers(instr)
+        defs = x86_isa.defined_registers(instr)
+        reads = [name for name in uses if name[0] == "%"]
+        writes = [name for name in defs if name[0] == "%"]
+        fixed_uses = [name for name in uses if name in ALLOC_ORDER]
+        fixed_defs = [name for name in defs if name in ALLOC_ORDER]
+        if fixed_uses or fixed_defs or fixed_live:
+            for name in fixed_live.union(fixed_uses, fixed_defs):
+                busy.setdefault(name, []).append(pos)
+            fixed_live.difference_update(fixed_defs)
+            fixed_live.update(fixed_uses)
+        if instr.meta and "needs_low8" in instr.meta:
+            low8.update(instr.meta["needs_low8"])
+        # One entry per vreg touched: (vreg, its next read after this
+        # instruction or None when the value dies here, the last read of
+        # the stretch that starts here).
+        after = []
+        for name in reads:
+            after.append((name, next_read.get(name),
+                          stretch_end.get(name, pos)))
+            next_read[name] = pos
+            stretch_end.setdefault(name, pos)
+        for name in writes:
+            if name in reads:
                 continue
-            kept.append(instr)
-        instrs = kept
-        if not dropped:
-            return instrs
+            after.append((name, next_read.pop(name, None),
+                          stretch_end.pop(name, pos)))
+        facts[pos] = (reads, writes, fixed_defs, after)
+    for positions in busy.values():
+        positions.reverse()
+
+    # -- forward sweep ---------------------------------------------------
+    reg_of: dict[str, str] = {}
+    holder: dict[str, str] = {}
+    upcoming: dict[str, int] = {}  # held vreg -> its next read
+    dirty: set[str] = set()
+    slots: dict[str, Mem] = {}
+    out: list[Instruction] = []
+
+    def evict(name: str) -> None:
+        reg = reg_of.pop(name)
+        del holder[reg]
+        if name in dirty:
+            dirty.discard(name)
+            slot = slots.get(name)
+            if slot is None:
+                slot = slots[name] = env_mem(SPILL_BASE + 4 * len(slots))
+            out.append(Instruction("movl", (Reg(reg), slot)))
+
+    def take(name: str, start: int, end: int, locked: set[str]) -> str:
+        choices = []
+        for reg in LOW8_ORDER if name in low8 else ALLOC_ORDER:
+            if reg in locked:
+                continue
+            positions = busy.get(reg)
+            if positions:
+                index = bisect.bisect_left(positions, start)
+                if index < len(positions) and positions[index] <= end:
+                    continue
+            if reg not in holder:
+                break
+            choices.append(reg)
+        else:
+            reg = max(choices, key=lambda r: upcoming[holder[r]])
+            evict(holder[reg])
+        reg_of[name] = reg
+        holder[reg] = name
+        locked.add(reg)
+        return reg
+
+    for pos, instr in enumerate(instrs):
+        reads, writes, fixed_defs, after = facts[pos]
+        for reg in fixed_defs:
+            if reg in holder:
+                evict(holder[reg])
+        locked = {reg_of[name] for name, _, _ in after if name in reg_of}
+        for name, _, end in after:
+            if name not in reg_of:
+                reg = take(name, pos, end, locked)
+                if name in reads:
+                    out.append(Instruction("movl", (slots[name], Reg(reg))))
+        out.append(rewrite_registers(
+            instr, {name: reg_of[name] for name, _, _ in after}))
+        dirty.update(writes)
+        for name, later, _ in after:
+            if later is None:
+                del holder[reg_of.pop(name)]
+            else:
+                upcoming[name] = later
+    return out
 
 
 def finalize_block(assembler: BlockAssembler, guest_start: int
                    ) -> "TranslatedBlock":
     """Peephole + register allocation for an assembled block."""
-    code = peephole(assembler.instrs)
-    func = MachineFunction(f"tb_{guest_start:#x}", instrs=code)
-    allocate(func, dbt_target_info())
-    return TranslatedBlock(guest_start, func.instrs)
+    return TranslatedBlock(guest_start, allocate(peephole(assembler.instrs)))
 
 
 @dataclass

@@ -675,10 +675,16 @@ class FleetCoordinator:
             )
 
     async def close(self) -> None:
-        if self._reconnect_task is not None:
-            self._reconnect_task.cancel()
+        task = self._reconnect_task
+        if task is not None:
+            # Before Python 3.12, asyncio.wait_for swallows a cancel that
+            # lands as its inner read completes (a shard ping), and the
+            # loop then sleeps on: cancel until it has really stopped.
+            while not task.done():
+                task.cancel()
+                await asyncio.wait({task}, timeout=0.1)
             with contextlib.suppress(asyncio.CancelledError):
-                await self._reconnect_task
+                await task
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()

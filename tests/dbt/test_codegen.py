@@ -1,11 +1,41 @@
-"""TCG lowering, peephole, env caching, llvmjit TCG optimizer."""
+"""TCG lowering, peephole, env caching, block register allocation,
+llvmjit TCG optimizer."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.benchsuite.suite import build_learning_pair
+from repro.corpus.generate import generate_program
+from repro.corpus.grammar import REGIONS
 from repro.dbt import codegen
-from repro.dbt.codegen import BlockAssembler, env_mem, peephole, tb_label
+from repro.dbt.codegen import (
+    ENV_BASE,
+    SPILL_BASE,
+    BlockAssembler,
+    env_mem,
+    peephole,
+    tb_label,
+)
+from repro.dbt.engine import DBTEngine
 from repro.dbt.llvmjit import optimize_tcg
+from repro.dbt.machine import ConcreteState
 from repro.dbt.tcg import TcgBlock, TcgCond, TcgOp
+from repro.host_x86 import execute as execute_x86
+from repro.host_x86 import isa as x86_isa
 from repro.host_x86 import parse_instruction as parse
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.alu import ConcreteALU
+from repro.isa.instruction import Instruction
+from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.learning import learn_rules
+from repro.learning.store import RuleStore
+from repro.minic import compile_source, interp
+from repro.minic.backend import regalloc
+from repro.minic.backend.mach import MachineFunction, TargetInfo
 
 
 class TestAssembler:
@@ -129,6 +159,17 @@ class TestPeephole:
         ]
         assert peephole(instrs) == []
 
+    def test_overwritten_and_chained_dead_movs_dropped(self):
+        out = env_mem(codegen.REG_OFFSET["r0"])
+        instrs = [
+            Instruction("movl", (Imm(1), Reg("%v1"))),  # overwritten
+            Instruction("movl", (Imm(2), Reg("%v1"))),
+            Instruction("movl", (Reg("%v1"), out)),
+            Instruction("movl", (out, Reg("%v2"))),  # read only by %v3
+            Instruction("movl", (Reg("%v2"), Reg("%v3"))),  # never read
+        ]
+        assert peephole(instrs) == instrs[1:3]
+
 
 class TestLlvmJitOptimizer:
     def test_redundant_reg_load_eliminated(self):
@@ -170,3 +211,237 @@ class TestLlvmJitOptimizer:
         block.emit(op="st_reg", reg="r0", a="%t1")
         ops = optimize_tcg(block.ops)
         assert not any(op.out == "%t2" for op in ops)
+
+
+# -- register allocation --------------------------------------------------------
+
+ALU = ConcreteALU()
+EXIT = Instruction("jmp", (Label(codegen.EXIT_LABEL),))
+SPILL_START = ENV_BASE + SPILL_BASE
+
+
+def v(number: int) -> Reg:
+    return Reg(f"%v{number}")
+
+
+def mov(src, dst) -> Instruction:
+    return Instruction("movl", (src, dst))
+
+
+def add(src, dst) -> Instruction:
+    return Instruction("addl", (src, dst))
+
+
+def run_host(instrs) -> ConcreteState:
+    """Execute straight-line host code up to its first jump."""
+    state = ConcreteState()
+    for instr in instrs:
+        if x86_isa.is_branch(instr):
+            break
+        execute_x86(instr, state, ALU)
+    return state
+
+
+def guest_reg(state: ConcreteState, reg: str) -> int:
+    return state.load(ENV_BASE + codegen.REG_OFFSET[reg], 4)
+
+
+def spill_slot(operand) -> int | None:
+    if isinstance(operand, Mem) and operand.disp >= SPILL_START:
+        return operand.disp
+    return None
+
+
+def spill_stores(instrs) -> list[int]:
+    return [spill_slot(i.operands[1]) for i in instrs
+            if i.mnemonic == "movl" and spill_slot(i.operands[1])]
+
+
+def spill_loads(instrs) -> list[int]:
+    return [spill_slot(i.operands[0]) for i in instrs
+            if i.mnemonic == "movl" and spill_slot(i.operands[0])]
+
+
+def assert_allocated(instrs) -> None:
+    for instr in instrs:
+        for reg in instr.registers():
+            assert not reg.name.startswith("%"), instr
+
+
+class TestAllocate:
+    def test_byte_operands_land_in_low8_registers(self):
+        block = [
+            mov(Imm(0), v(2)),  # first value: esi if unconstrained
+            mov(Imm(5), v(1)),
+            Instruction("cmpl", (Imm(5), v(1))),
+            Instruction("sete", (Reg("%v2.b"),),
+                        meta={"needs_low8": ("%v2",)}),
+            mov(v(2), env_mem(codegen.REG_OFFSET["r0"])),
+            mov(Imm(0x41), v(3)),
+            Instruction("movb", (Reg("%v3.b"),
+                                 env_mem(codegen.REG_OFFSET["r1"])),
+                        meta={"needs_low8": ("%v3",)}),
+            EXIT,
+        ]
+        out = codegen.allocate(block)
+        assert_allocated(out)
+        byte_ops = [i for i in out if i.mnemonic in ("sete", "movb")]
+        assert [i.operands[0].name for i in byte_ops] == ["al", "al"]
+        state = run_host(out)
+        assert guest_reg(state, "r0") == 1
+        assert guest_reg(state, "r1") == 0x41
+
+    def test_ecx_stays_free_across_a_variable_shift(self):
+        block = [mov(Imm(k), v(k)) for k in range(1, 6)] + [
+            mov(v(5), Reg("ecx")),
+            mov(Imm(7), v(6)),
+            Instruction("shll", (Reg("cl"), v(6))),
+        ] + [add(v(k), v(6)) for k in range(1, 5)] + [
+            mov(v(6), env_mem(codegen.REG_OFFSET["r0"])),
+            EXIT,
+        ]
+        out = codegen.allocate(block)
+        assert_allocated(out)
+        naming_ecx = [i for i in out
+                      if {r.name for r in i.registers()} & {"ecx", "cl"}]
+        assert [i.mnemonic for i in naming_ecx] == ["movl", "shll"]
+        assert not spill_stores(out)
+        assert guest_reg(run_host(out), "r0") == (7 << 5) + 1 + 2 + 3 + 4
+
+    def test_seven_live_values_spill_and_reload(self):
+        block = [mov(Imm(k), v(k)) for k in range(1, 8)]
+        block += [add(v(k), v(1)) for k in range(2, 8)]
+        block += [mov(v(1), env_mem(codegen.REG_OFFSET["r0"])), EXIT]
+        out = codegen.allocate(block)
+        assert_allocated(out)
+        assert len(spill_stores(out)) == 1
+        assert spill_loads(out) == spill_stores(out)
+        assert guest_reg(run_host(out), "r0") == sum(range(1, 8))
+
+    def test_dead_def_gets_a_register(self):
+        block = [mov(Imm(5), v(1)), add(Imm(1), v(1)), EXIT]
+        out = codegen.allocate(block)
+        assert_allocated(out)
+        assert [i.mnemonic for i in out] == ["movl", "addl", "jmp"]
+        assert out[1].operands[1] == out[0].operands[1]
+
+    def test_clean_evicted_value_is_not_stored_again(self):
+        # %v0 is evicted dirty (one store), reloaded for its first use,
+        # evicted again while clean (no store), and reloaded once more.
+        block = [mov(Imm(100), v(0))]
+        block += [mov(Imm(k), v(k)) for k in range(1, 7)]
+        block += [add(v(k), v(1)) for k in range(2, 7)]
+        block.append(add(v(0), v(1)))
+        block += [mov(Imm(k), v(k)) for k in range(7, 13)]
+        block += [add(v(k), v(1)) for k in range(7, 13)]
+        block.append(add(v(0), v(1)))
+        block += [mov(v(1), env_mem(codegen.REG_OFFSET["r0"])), EXIT]
+        out = codegen.allocate(block)
+        assert_allocated(out)
+        home = spill_stores(out)[0]
+        assert spill_stores(out).count(home) == 1
+        assert spill_loads(out).count(home) == 2
+        assert guest_reg(run_host(out), "r0") == 2 * 100 + sum(range(1, 13))
+
+
+# -- the allocator on real translated blocks ----------------------------------
+
+def compiler_target() -> TargetInfo:
+    """The MiniC compiler's linear scan, configured for translated
+    blocks: the reference the block-local allocator must never lose to."""
+    return TargetInfo(
+        name="dbt-x86",
+        alloc_order=codegen.ALLOC_ORDER,
+        callee_saved=(),
+        caller_saved=(),
+        low8_regs=codegen.LOW8_ORDER,
+        defs=x86_isa.defined_registers,
+        uses=x86_isa.used_registers,
+        is_branch=x86_isa.is_branch,
+        branch_condition=x86_isa.branch_condition,
+        is_call=x86_isa.is_call,
+        spill_load=lambda reg, off: mov(env_mem(SPILL_BASE + off), Reg(reg)),
+        spill_store=lambda reg, off: mov(Reg(reg), env_mem(SPILL_BASE + off)),
+    )
+
+
+#: A fixed corpus slice: program 0 of every region of corpus stream 0.
+SLICE = [(region, generate_program(config, 0, region, 0))
+         for region, config in REGIONS.items()]
+
+
+@pytest.fixture(scope="module")
+def benchsuite_store():
+    rules = []
+    for name in ("mcf", "gcc"):
+        guest, host = build_learning_pair(name)
+        rules += learn_rules(guest, host, benchmark=name).rules
+    return RuleStore.from_rules(rules)
+
+
+@pytest.mark.parametrize("mode", ["qemu", "rules"])
+@pytest.mark.parametrize("style", ["llvm", "gcc"])
+def test_corpus_slice_matches_interpreter_and_never_loses(
+        benchsuite_store, monkeypatch, mode, style):
+    inputs = []
+    allocate = codegen.allocate
+
+    def recording(instrs):
+        inputs.append(list(instrs))
+        return allocate(instrs)
+
+    monkeypatch.setattr(codegen, "allocate", recording)
+    hits = 0
+    for region, source in SLICE:
+        program = compile_source(source, "arm", 2, style)
+        engine = DBTEngine(program, mode,
+                           rule_store=benchsuite_store
+                           if mode == "rules" else None)
+        value = engine.run().return_value & 0xFFFFFFFF
+        assert value == interp.run_tac(program.tac) & 0xFFFFFFFF, region
+        hits += sum(engine.last_run.hit_rule_lengths.values())
+    assert inputs
+    assert (hits > 0) == (mode == "rules")
+    for instrs in inputs:
+        func = MachineFunction("tb", instrs=list(instrs))
+        regalloc.allocate(func, compiler_target())
+        assert len(allocate(instrs)) <= len(func.instrs)
+
+
+HOST_CODE_DIGEST = """
+import hashlib
+from repro.benchsuite.suite import build_learning_pair
+from repro.corpus.generate import generate_program
+from repro.corpus.grammar import REGIONS
+from repro.dbt import codegen
+from repro.dbt.engine import DBTEngine
+from repro.learning import learn_rules
+from repro.learning.store import RuleStore
+from repro.minic import compile_source
+digest = hashlib.sha256()
+allocate = codegen.allocate
+def recording(instrs):
+    out = allocate(instrs)
+    digest.update("\\n".join(map(str, out)).encode())
+    return out
+codegen.allocate = recording
+store = RuleStore.from_rules(
+    learn_rules(*build_learning_pair("mcf"), benchmark="mcf").rules)
+for region, config in REGIONS.items():
+    program = compile_source(generate_program(config, 0, region, 0),
+                             "arm", 2, "gcc")
+    for mode in ("qemu", "rules"):
+        DBTEngine(program, mode, rule_store=store).run()
+print(digest.hexdigest())
+"""
+
+
+def test_host_code_is_independent_of_hash_seed():
+    src = str(Path(repro.__file__).resolve().parents[1])
+    digests = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        digests.add(subprocess.run(
+            [sys.executable, "-c", HOST_CODE_DIGEST], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert len(digests) == 1

@@ -8,6 +8,7 @@ what a crash looks like to the coordinator).  The subprocess flavour
 of the same scenarios lives in ``scripts/fleet_gate.py``.
 """
 
+import asyncio
 import time
 
 import pytest
@@ -207,6 +208,37 @@ class TestFleetRouting:
                 assert client.ping()["ok"] is True
         finally:
             fleet.stop()
+
+
+def test_close_stops_a_reconnect_loop_that_swallowed_its_cancel(
+        loop_thread, tmp_path):
+    # Before Python 3.12, asyncio.wait_for (the shard ping) can swallow
+    # a cancel that lands as its read completes; close() must not wait
+    # forever on the loop that carries on.
+    coordinator = FleetCoordinator(
+        str(tmp_path / "journal"),
+        [ShardLink("a", socket_path=str(tmp_path / "a.sock"))])
+
+    async def stubborn_loop():
+        try:
+            await asyncio.sleep(3600)
+        except asyncio.CancelledError:
+            pass
+        while True:
+            await asyncio.sleep(0.05)
+
+    async def scenario():
+        reconnect = coordinator._reconnect_task = asyncio.ensure_future(
+            stubborn_loop())
+        await asyncio.sleep(0)
+        closing = asyncio.ensure_future(coordinator.close())
+        await asyncio.wait({closing}, timeout=5)
+        closed = closing.done()
+        reconnect.cancel()  # a second cancel ends a loop left running
+        await asyncio.wait({closing, reconnect})
+        return closed
+
+    assert loop_thread.call(scenario())
 
 
 class TestShardChurn:
