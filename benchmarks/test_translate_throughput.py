@@ -9,10 +9,20 @@ ms/block over the indexed greedy cover's (``dp_vs_greedy``).  ``cpus``
 records the CPUs the run could use.  The acceptance gate is the
 indexed matcher sustaining at least 2x the legacy matcher's
 lookups/sec on the real learned-rule population.
+
+The five legs are interleaved over :data:`ROUNDS` short rounds, after
+one untimed warm-up round, so load on a shared host lands on every leg
+alike.  Each leg records its median seconds per round (the rates come
+from it) and its fastest and slowest round.  ``lookup_speedup`` and
+``dp_vs_greedy`` are the medians of the per-round ratios: the two legs
+of a ratio ran back to back in the same round, so host-speed drift
+between rounds cancels.  On a shared host a single timing per leg
+moves such a ratio by up to 40% between runs of identical code.
 """
 
 import json
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -34,9 +44,12 @@ OUTPUT = _OUT_DIR / "BENCH_translate.json"
 TARGET = "gcc"
 #: Acceptance gate: indexed lookups/sec over legacy lookups/sec.
 MIN_LOOKUP_SPEEDUP = 2.0
-#: Repetitions — each full sweep walks every position of every block.
-LOOKUP_REPS = 60
-TRANSLATE_REPS = 12
+#: Timed rounds; each round runs every leg once.
+ROUNDS = 31
+#: Repetitions per leg and round — each sweep walks every position of
+#: every block.
+LOOKUP_REPS = 4
+TRANSLATE_REPS = 1
 
 
 def _blocks(program):
@@ -47,8 +60,8 @@ def _blocks(program):
     return starts, [discover_block(program, s) for s in starts]
 
 
-def _time_lookups(store, blocks, reps):
-    positions = sum(len(block) for block in blocks)
+def _lookup_leg(store, blocks, reps):
+    """One round of the lookup leg: (seconds, hit positions)."""
     hits = 0
     t0 = time.perf_counter()
     for _ in range(reps):
@@ -58,30 +71,53 @@ def _time_lookups(store, blocks, reps):
             for i in range(len(block)):
                 if match_at(block, i) is not None:
                     hits += 1
-    seconds = time.perf_counter() - t0
-    lookups = positions * reps
-    return {
-        "positions": positions,
-        "hit_positions": hits,
-        "seconds": round(seconds, 4),
-        "lookups_per_second": round(lookups / seconds),
-        "ns_per_lookup": round(seconds / lookups * 1e9, 1),
-        "ns_per_hit": round(seconds / max(hits * reps, 1) * 1e9, 1),
-    }
+    return time.perf_counter() - t0, hits
 
 
-def _time_translation(program, starts, store, cover, reps):
+def _translate_leg(program, starts, store, cover, reps):
+    """One round of a translation leg: (seconds, None)."""
     t0 = time.perf_counter()
     for _ in range(reps):
         for start in starts:
             translate_block_with_rules(program, start, store, cover=cover)
-    seconds = time.perf_counter() - t0
-    blocks = len(starts) * reps
+    return time.perf_counter() - t0, None
+
+
+def _ratio(numerators, denominators, digits):
+    return round(statistics.median(
+        n / d for n, d in zip(numerators, denominators)
+    ), digits)
+
+
+def _spread(samples):
     return {
-        "seconds": round(seconds, 4),
-        "blocks_per_second": round(blocks / seconds, 1),
-        "ms_per_block": round(seconds / blocks * 1e3, 4),
+        "seconds": round(statistics.median(samples), 4),
+        "seconds_min": round(min(samples), 4),
+        "seconds_max": round(max(samples), 4),
     }
+
+
+def _lookup_row(samples, hits, positions, reps):
+    row = {"positions": positions, "hit_positions": hits,
+           **_spread(samples)}
+    seconds = statistics.median(samples)
+    lookups = positions * reps
+    row.update(
+        lookups_per_second=round(lookups / seconds),
+        ns_per_lookup=round(seconds / lookups * 1e9, 1),
+        ns_per_hit=round(seconds / max(hits * reps, 1) * 1e9, 1),
+    )
+    return row
+
+
+def _translate_row(samples, blocks):
+    row = _spread(samples)
+    seconds = statistics.median(samples)
+    row.update(
+        blocks_per_second=round(blocks / seconds, 1),
+        ms_per_block=round(seconds / blocks * 1e3, 4),
+    )
+    return row
 
 
 def test_translate_throughput(benchmark, context):
@@ -93,23 +129,39 @@ def test_translate_throughput(benchmark, context):
         for mode in ("hash", "indexed")
     }
 
+    legs = {
+        ("lookup", "legacy"): lambda: _lookup_leg(
+            stores["hash"], blocks, LOOKUP_REPS),
+        ("lookup", "indexed"): lambda: _lookup_leg(
+            stores["indexed"], blocks, LOOKUP_REPS),
+        ("translate", "legacy"): lambda: _translate_leg(
+            program, starts, stores["hash"], "greedy", TRANSLATE_REPS),
+        ("translate", "indexed"): lambda: _translate_leg(
+            program, starts, stores["indexed"], "greedy", TRANSLATE_REPS),
+        ("translate", "indexed_dp"): lambda: _translate_leg(
+            program, starts, stores["indexed"], "dp", TRANSLATE_REPS),
+    }
+
     def measure():
+        for leg in legs.values():  # warm-up: memo caches, emitters
+            leg()
+        samples = {key: [] for key in legs}
+        hits = {}
+        for _ in range(ROUNDS):
+            for key, leg in legs.items():
+                seconds, leg_hits = leg()
+                samples[key].append(seconds)
+                hits[key] = leg_hits
+        positions = sum(len(block) for block in blocks)
         lookup = {
-            "legacy": _time_lookups(stores["hash"], blocks, LOOKUP_REPS),
-            "indexed": _time_lookups(stores["indexed"], blocks,
-                                     LOOKUP_REPS),
+            mode: _lookup_row(samples["lookup", mode],
+                              hits["lookup", mode], positions, LOOKUP_REPS)
+            for mode in ("legacy", "indexed")
         }
         translate = {
-            "legacy": _time_translation(
-                program, starts, stores["hash"], "greedy", TRANSLATE_REPS
-            ),
-            "indexed": _time_translation(
-                program, starts, stores["indexed"], "greedy",
-                TRANSLATE_REPS
-            ),
-            "indexed_dp": _time_translation(
-                program, starts, stores["indexed"], "dp", TRANSLATE_REPS
-            ),
+            mode: _translate_row(samples["translate", mode],
+                                 len(starts) * TRANSLATE_REPS)
+            for mode in ("legacy", "indexed", "indexed_dp")
         }
         return {
             "bench": "translate_throughput",
@@ -118,17 +170,17 @@ def test_translate_throughput(benchmark, context):
             "target": TARGET,
             "rules": len(rules),
             "blocks": len(starts),
-            "guest_instructions": sum(len(b) for b in blocks),
+            "guest_instructions": positions,
+            "rounds": ROUNDS,
+            "lookup_reps": LOOKUP_REPS,
+            "translate_reps": TRANSLATE_REPS,
             "lookup": lookup,
-            "lookup_speedup": round(
-                lookup["indexed"]["lookups_per_second"]
-                / lookup["legacy"]["lookups_per_second"], 2
-            ),
+            # Lookups/sec over lookups/sec: legacy over indexed seconds.
+            "lookup_speedup": _ratio(samples["lookup", "legacy"],
+                                     samples["lookup", "indexed"], 2),
             "translate": translate,
-            "dp_vs_greedy": round(
-                translate["indexed_dp"]["ms_per_block"]
-                / translate["indexed"]["ms_per_block"], 3
-            ),
+            "dp_vs_greedy": _ratio(samples["translate", "indexed_dp"],
+                                   samples["translate", "indexed"], 3),
         }
 
     payload = run_once(benchmark, measure)

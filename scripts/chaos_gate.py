@@ -20,8 +20,8 @@ failure; tracing is off by default.
 """
 
 import contextlib
+import functools
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -38,12 +38,13 @@ from repro.learning.parallel import learn_corpus_parallel
 from repro.learning.pipeline import learn_corpus
 from repro.learning.store import RuleStore
 
+import gatekit
+
+GATE = "chaos_gate"
 GATE_BENCHMARKS = BENCHMARK_NAMES[:3]
 
 
-def fail(message: str) -> None:
-    print(f"chaos_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = functools.partial(gatekit.fail, GATE)
 
 
 def rule_strings(outcomes):

@@ -18,6 +18,10 @@ skipped=()
 python -m pytest -x -q
 ran+=(pytest)
 
+# wallbench's own tests; the pytest testpaths above do not reach them.
+python -m pytest -q wallbench/tests
+ran+=(wallbench)
+
 # Chaos gate: an injected-fault learning run (worker crash + hang +
 # torn cache write) must converge to the clean rule set, and the
 # differential guard must quarantine a corrupted rule back to the

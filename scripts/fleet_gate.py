@@ -34,12 +34,11 @@ Set ``REPRO_GATE_ARTIFACT_DIR`` to keep the working directory at a
 known path for CI artifact upload.
 """
 
+import functools
 import json
-import os
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 from pathlib import Path
@@ -47,12 +46,13 @@ from pathlib import Path
 from repro.benchsuite import build_learning_pair
 from repro.dbt.engine import DBTEngine
 from repro.faults import KillSchedule
-from repro.learning.pipeline import learn_rules
-from repro.learning.store import RuleStore
 from repro.obs.report import aggregate, reconcile, stitch
 from repro.obs.trace import TraceError, read_trace, tracing
 from repro.service.client import RuleServiceClient
 
+import gatekit
+
+GATE = "fleet_gate"
 SHARD_IDS = ("a", "b", "c")
 GATE_BENCHMARKS = ("mcf", "libquantum")
 CLIENTS = 12
@@ -66,9 +66,7 @@ KILL_SCHEDULE = KillSchedule.staggered(("a", "b"), first=1.0,
 FRESH_RESTART_SHARDS = {"a"}
 
 
-def fail(message: str) -> None:
-    print(f"fleet_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = functools.partial(gatekit.fail, GATE)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -318,26 +316,6 @@ class ConvergedRun(threading.Thread):
             client.close()
 
 
-def offline_coverage(name: str) -> float:
-    guest, host = build_learning_pair(name)
-    rules = learn_rules(guest, host, benchmark=name).rules
-    engine = DBTEngine(guest, "rules", RuleStore.from_rules(rules))
-    engine.run()
-    return engine.last_run.dynamic_coverage
-
-
-def wait_for_socket(path: Path, proc: subprocess.Popen,
-                    what: str) -> None:
-    deadline = time.monotonic() + STARTUP_SECONDS
-    while time.monotonic() < deadline:
-        if proc.poll() is not None:
-            fail(f"{what} exited early with status {proc.returncode}")
-        if path.exists():
-            return
-        time.sleep(0.1)
-    fail(f"{what} socket {path} never appeared")
-
-
 def wait_for_fleet_ready(socket_path: str, want_shards: int,
                          timeout: float = 120.0) -> dict:
     deadline = time.monotonic() + timeout
@@ -359,13 +337,7 @@ def wait_for_fleet_ready(socket_path: str, want_shards: int,
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="fleet-gate-"))
-
+    tmp = gatekit.work_dir("fleet-gate-")
     shards = {sid: ShardProc(tmp, sid) for sid in SHARD_IDS}
     for shard in shards.values():
         shard.spawn()
@@ -376,8 +348,9 @@ def main() -> None:
     chaos = ChaosThread(shards, KILL_SCHEDULE)
     try:
         for shard in shards.values():
-            wait_for_socket(shard.socket_path, shard.proc,
-                            f"shard {shard.shard_id}")
+            gatekit.wait_for_socket(GATE, shard.socket_path,
+                                    shard.proc, STARTUP_SECONDS,
+                                    f"shard {shard.shard_id}")
         coordinator = subprocess.Popen([
             sys.executable, "-m", "repro.service.fleet",
             "--dir", str(tmp / "journal"),
@@ -389,7 +362,8 @@ def main() -> None:
               for part in ("--shard",
                            f"{shard.shard_id}={shard.socket_path}")),
         ])
-        wait_for_socket(fleet_socket, coordinator, "coordinator")
+        gatekit.wait_for_socket(GATE, fleet_socket, coordinator,
+                                STARTUP_SECONDS, "coordinator")
         wait_for_fleet_ready(str(fleet_socket), len(SHARD_IDS))
 
         # -- churn phase: concurrent clients + scheduled kills --------
@@ -463,7 +437,7 @@ def main() -> None:
 
         coverage = {}
         for run in converged:
-            offline = offline_coverage(run.benchmark)
+            offline = gatekit.offline_coverage(run.benchmark)
             delta = abs(run.online_coverage - offline)
             coverage[run.benchmark] = {
                 "online": run.online_coverage,

@@ -29,10 +29,8 @@ known path; the gate writes ``ingest_report.json`` (full verdict) and
 artifact upload.
 """
 
+import functools
 import json
-import os
-import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -46,6 +44,9 @@ from repro.obs.report import aggregate, reconcile
 from repro.obs.slo import SloEngine
 from repro.obs.trace import read_trace, tracing
 
+import gatekit
+
+GATE = "ingest_gate"
 GATE_SEED = 7
 GATE_PROGRAMS = 40
 MIN_NOVEL_RULES = 15
@@ -53,9 +54,7 @@ MIN_WARM_SKIP_RATE = 0.30
 SLO_TOML = Path("slo.toml")
 
 
-def fail(message: str) -> None:
-    print(f"ingest_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
+fail = functools.partial(gatekit.fail, GATE)
 
 
 def benchsuite_baseline():
@@ -111,12 +110,7 @@ def check_reconciliation(trace_path: Path, summary) -> int:
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="ingest-gate-"))
+    tmp = gatekit.work_dir("ingest-gate-")
 
     started = time.perf_counter()
     baseline = benchsuite_baseline()

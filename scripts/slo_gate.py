@@ -25,13 +25,10 @@ known path; the gate writes ``slo_report.json``, ``profile.json`` and
 ``exposition.txt`` there for CI artifact upload.
 """
 
+import functools
 import json
-import os
-import signal
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 
 from repro.benchsuite import build_learning_pair
@@ -46,42 +43,16 @@ from repro.obs.trace import TraceError, read_trace, tracing
 from repro.obs.slo import SloEngine, slo_report_lines
 from repro.service.client import RuleServiceClient
 
+import gatekit
+
+GATE = "slo_gate"
 GATE_BENCHMARK = "mcf"
 SLO_TOML = Path("slo.toml")
 SERVER_STARTUP_SECONDS = 30
 PROFILE_HZ = 97
 
 
-def fail(message: str) -> None:
-    print(f"slo_gate: FAIL: {message}", file=sys.stderr)
-    sys.exit(1)
-
-
-def wait_for_socket(path: Path, process: subprocess.Popen) -> None:
-    deadline = time.monotonic() + SERVER_STARTUP_SECONDS
-    while time.monotonic() < deadline:
-        if process.poll() is not None:
-            fail(f"server exited early with status {process.returncode}")
-        if path.exists():
-            return
-        time.sleep(0.1)
-    fail(f"server socket {path} never appeared")
-
-
-def stop_server(server: subprocess.Popen) -> None:
-    """SIGINT so the server's trace sink flushes before exit."""
-    if server.poll() is not None:
-        return
-    server.send_signal(signal.SIGINT)
-    try:
-        server.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        server.terminate()
-        try:
-            server.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            server.kill()
-            server.wait()
+fail = functools.partial(gatekit.fail, GATE)
 
 
 def drive_workload(socket_path: Path) -> None:
@@ -119,12 +90,7 @@ def throughput_gauges(frame: dict) -> dict:
 
 
 def main() -> None:
-    artifact_dir = os.environ.get("REPRO_GATE_ARTIFACT_DIR")
-    if artifact_dir:
-        tmp = Path(artifact_dir)
-        tmp.mkdir(parents=True, exist_ok=True)
-    else:
-        tmp = Path(tempfile.mkdtemp(prefix="slo-gate-"))
+    tmp = gatekit.work_dir("slo-gate-")
     if not SLO_TOML.exists():
         fail(f"{SLO_TOML} not found (run from the repo root)")
     socket_path = tmp / "rules.sock"
@@ -144,12 +110,13 @@ def main() -> None:
         ],
     )
     try:
-        wait_for_socket(socket_path, server)
+        gatekit.wait_for_socket(GATE, socket_path, server,
+                                SERVER_STARTUP_SECONDS)
         with tracing(str(trace_path)):
             drive_workload(socket_path)
             frame = fetch_frame(socket_path)
     finally:
-        stop_server(server)
+        gatekit.stop_server(server)
 
     # -- the frame must carry the whole observability surface ------------
     for key in ("metrics", "telemetry", "slo", "profile"):

@@ -515,3 +515,6 @@ class TranslatedBlock:
     translation_cost: float = 0.0
     exec_count: int = 0
     exec_cycles: float = 0.0  # host cycles attributed to this block (per run)
+    steps: list = field(default_factory=list)  # one step closure per instr
+    #: ``cycle_prefix[k]``: modelled cycles of the first k host instrs.
+    cycle_prefix: list[float] = field(default_factory=list)

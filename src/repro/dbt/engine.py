@@ -11,6 +11,14 @@ Guest architectural state (r0-r15, NZCV) lives in the in-memory CPU env
 at ``ENV_BASE``; translated host code reads/writes it there, and the
 engine itself only touches it between blocks (dispatch, HALT check).
 
+Every cached block carries its host code as step closures plus running
+cycle sums (``TranslatedBlock.steps`` / ``cycle_prefix``), and one
+executor, ``_exec``, runs those steps for dispatch and for the guard's
+trial and reference runs alike.  ``fast=True`` steps are
+:func:`~repro.dbt.fastexec.compile_block` closures; ``fast=False``
+steps are :func:`~repro.dbt.fastexec.oracle_block`'s, which interpret
+through the single-source host semantics (the execution oracle).
+
 Statistics come in two explicit views (instead of the old implicit
 reset-on-``run()`` convention):
 
@@ -33,24 +41,15 @@ import itertools
 import time
 from dataclasses import dataclass, field
 
-from repro.host_x86 import execute as execute_x86
-from repro.isa.alu import ConcreteALU
-from repro.isa.operands import Label
 from repro.learning.store import RuleStore
-from repro.minic.compile import (
-    CODE_BASE,
-    HALT_ADDRESS,
-    STACK_TOP,
-    CompiledProgram,
-)
+from repro.minic.compile import HALT_ADDRESS, STACK_TOP, CompiledProgram
 from repro.obs.metrics import get_metrics
 from repro.obs.profiler import phase
 from repro.obs.trace import get_tracer
-from repro.dbt import codegen, perf
+from repro.dbt import codegen, fastexec, perf
 from repro.dbt.codegen import (
     ENV_BASE,
     EXIT_LABEL,
-    FLAG_OFFSET,
     NEXT_PC_OFFSET,
     REG_OFFSET,
     TranslatedBlock,
@@ -61,8 +60,6 @@ from repro.dbt.llvmjit import optimize_tcg
 from repro.dbt.machine import ConcreteState
 from repro.dbt.perf import PerfModel, instruction_cycles
 from repro.dbt.ruletrans import COVER_MODES, translate_block_with_rules
-
-_ALU = ConcreteALU()
 
 MODES = ("qemu", "rules", "llvmjit")
 
@@ -254,10 +251,8 @@ class DBTEngine:
         self.quarantined_rules: set = set()
         self.engine_id = next(_ENGINE_IDS)
         self._cache: dict[int, TranslatedBlock] = {}
-        self._cycles_cache: dict[int, list[float]] = {}
-        self._steps_cache: dict[int, list] = {}
         #: TCG-only reference translations (guard comparisons).
-        self._ref_cache: dict[int, tuple] = {}
+        self._ref_cache: dict[int, TranslatedBlock] = {}
         #: Blocks invalidated mid-run after executing: their dynamic
         #: counters must still be accounted at run end.
         self._retired_blocks: list[TranslatedBlock] = []
@@ -353,33 +348,8 @@ class DBTEngine:
                         view.rule_miss_reasons.get(reason, 0) + count
                     )
         else:
-            tcg_block, guest_instrs = translate_block(
-                self.program, start_index
-            )
-            ops = tcg_block.ops
-            if self.mode == "llvmjit":
-                cost = (perf.LLVMJIT_BLOCK_COST
-                        + perf.LLVMJIT_OP_COST * len(ops))
-                ops = optimize_tcg(ops)
-            else:
-                cost = perf.TCG_OP_COST * len(ops)
-            assembler = codegen.BlockAssembler()
-            for op in ops:
-                codegen.lower_tcg_op(assembler, op,
-                                     optimized=self.mode == "llvmjit")
-            translated = codegen.finalize_block(assembler, guest_addr)
-            tb = TranslatedBlock(guest_addr, translated.host_instrs)
-            tb.guest_length = len(guest_instrs)
-            tb.rule_covered = [False] * len(guest_instrs)
-            tb.translation_cost = cost
-        self._cache[guest_addr] = tb
-        self._cycles_cache[guest_addr] = [
-            instruction_cycles(instr) for instr in tb.host_instrs
-        ]
-        if self.fast:
-            from repro.dbt.fastexec import compile_block
-
-            self._steps_cache[guest_addr] = compile_block(tb.host_instrs)
+            tb = self._tcg_block(guest_addr, self.mode)
+        self._cache[guest_addr] = self._prepare(tb)
         covered = sum(tb.rule_covered)
         for view in self._translation_views():
             view.translated_blocks += 1
@@ -411,6 +381,40 @@ class DBTEngine:
                 hit_lengths=[length for _, length in tb.hit_rules],
                 miss_reasons=miss_reasons,
             )
+        return tb
+
+    def _tcg_block(self, guest_addr: int, mode: str) -> TranslatedBlock:
+        """TCG-only translation: the ``qemu`` and ``llvmjit`` backends,
+        and (as ``qemu``) the guard's reference."""
+        tcg_block, guest_instrs = translate_block(
+            self.program, self.program.index_of_addr(guest_addr)
+        )
+        ops = tcg_block.ops
+        if mode == "llvmjit":
+            cost = perf.LLVMJIT_BLOCK_COST + perf.LLVMJIT_OP_COST * len(ops)
+            ops = optimize_tcg(ops)
+        else:
+            cost = perf.TCG_OP_COST * len(ops)
+        assembler = codegen.BlockAssembler()
+        for op in ops:
+            codegen.lower_tcg_op(assembler, op, optimized=mode == "llvmjit")
+        tb = codegen.finalize_block(assembler, guest_addr)
+        tb.guest_length = len(guest_instrs)
+        tb.rule_covered = [False] * len(guest_instrs)
+        tb.translation_cost = cost
+        return tb
+
+    def _prepare(self, tb: TranslatedBlock) -> TranslatedBlock:
+        """Attach the block's step closures (compiled, or the oracle's
+        when ``fast=False``) and its running cycle sums."""
+        build = fastexec.compile_block if self.fast \
+            else fastexec.oracle_block
+        tb.steps = build(tb.host_instrs)
+        total = 0.0
+        tb.cycle_prefix = [total]
+        for instr in tb.host_instrs:
+            total += instruction_cycles(instr)
+            tb.cycle_prefix.append(total)
         return tb
 
     # -- per-rule profitability --------------------------------------------------
@@ -503,69 +507,33 @@ class DBTEngine:
                         tb = self._guard_check(tb, state)
                     tb.exec_count += 1
                     active.perf.dispatches += 1
-                    guest_pc = self._run_block(tb, state)
+                    # Only taken branches leave a block, so the exit
+                    # index fixes its instruction and cycle counts.
+                    guest_pc, exit_index = self._exec(tb, state)
+                    cycles = tb.cycle_prefix[exit_index + 1]
+                    active.dynamic_host_instructions += exit_index + 1
+                    active.perf.exec_cycles += cycles
+                    tb.exec_cycles += cycles
         finally:
             self._finalize_run()
         return_value = self._env_read(state, REG_OFFSET["r0"])
         self._emit_run_records(return_value)
         return DBTRunResult(return_value, self.stats)
 
-    def _run_block(self, tb: TranslatedBlock, state: ConcreteState) -> int:
-        if self.fast:
-            return self._run_block_fast(tb, state)
-        instrs = tb.host_instrs
-        cycles = self._cycles_cache[tb.guest_start]
-        active = self._active
-        index = 0
-        count = 0
-        cycle_sum = 0.0
-        while index < len(instrs):
-            instr = instrs[index]
-            count += 1
-            cycle_sum += cycles[index]
-            outcome = execute_x86(instr, state, _ALU)
-            branch = outcome.branch
-            if branch is None or not branch.cond:
-                index += 1
-                continue
-            active.dynamic_host_instructions += count
-            active.perf.exec_cycles += cycle_sum
-            tb.exec_cycles += cycle_sum
-            target = branch.target
-            if isinstance(target, Label):
-                name = target.name
-                if name == EXIT_LABEL:
-                    return self._env_read(state, NEXT_PC_OFFSET)
-                if name.startswith("TB@"):
-                    return int(name[3:], 16)
-            raise DBTError(f"unexpected host branch target {target!r}")
-        raise DBTError(
-            f"translated block {tb.guest_start:#x} fell off its end"
-        )
-
-    def _run_block_fast(self, tb: TranslatedBlock, state: ConcreteState) -> int:
-        steps = self._steps_cache[tb.guest_start]
-        cycles = self._cycles_cache[tb.guest_start]
-        active = self._active
+    def _exec(self, tb: TranslatedBlock,
+              state: ConcreteState) -> tuple[int, int]:
+        """Run one translated block's steps on ``state``; return the
+        next guest pc and the index of the host instruction that left
+        the block.  No stats side effects (dispatch accounts them)."""
         regs, flags, mem = state.regs, state.flags, state.memory
-        index = 0
-        count = 0
-        cycle_sum = 0.0
-        n = len(steps)
-        while index < n:
-            count += 1
-            cycle_sum += cycles[index]
-            target = steps[index](regs, flags, mem)
+        for index, step in enumerate(tb.steps):
+            target = step(regs, flags, mem)
             if target is None:
-                index += 1
                 continue
-            active.dynamic_host_instructions += count
-            active.perf.exec_cycles += cycle_sum
-            tb.exec_cycles += cycle_sum
             if target == EXIT_LABEL:
-                return self._env_read(state, NEXT_PC_OFFSET)
+                return self._env_read(state, NEXT_PC_OFFSET), index
             if target.startswith("TB@"):
-                return int(target[3:], 16)
+                return int(target[3:], 16), index
             raise DBTError(f"unexpected host branch target {target!r}")
         raise DBTError(
             f"translated block {tb.guest_start:#x} fell off its end"
@@ -589,13 +557,9 @@ class DBTEngine:
             metrics.inc("dbt.guard.checks")
             trial = copy_state(state)
             reference = copy_state(state)
-            trial_pc = self._exec_block_raw(
-                tb.host_instrs,
-                self._steps_cache.get(tb.guest_start) if self.fast else None,
-                trial,
-            )
-            ref_instrs, ref_steps = self._reference_block(tb.guest_start)
-            ref_pc = self._exec_block_raw(ref_instrs, ref_steps, reference)
+            trial_pc, _ = self._exec(tb, trial)
+            ref_pc, _ = self._exec(self._reference_block(tb.guest_start),
+                                   reference)
             if trial_pc == ref_pc and states_agree(trial, reference):
                 return tb
             suspects = {
@@ -633,65 +597,14 @@ class DBTEngine:
             tb = self.translate(tb.guest_start)
         return tb
 
-    def _exec_block_raw(self, instrs, steps, state: ConcreteState) -> int:
-        """Execute one translated block on ``state`` with no stats
-        side effects; return the next guest pc."""
-        if steps is not None:
-            regs, flags, mem = state.regs, state.flags, state.memory
-            index = 0
-            n = len(steps)
-            while index < n:
-                target = steps[index](regs, flags, mem)
-                if target is None:
-                    index += 1
-                    continue
-                if target == EXIT_LABEL:
-                    return self._env_read(state, NEXT_PC_OFFSET)
-                if target.startswith("TB@"):
-                    return int(target[3:], 16)
-                raise DBTError(
-                    f"unexpected host branch target {target!r}"
-                )
-        else:
-            index = 0
-            while index < len(instrs):
-                outcome = execute_x86(instrs[index], state, _ALU)
-                branch = outcome.branch
-                if branch is None or not branch.cond:
-                    index += 1
-                    continue
-                target = branch.target
-                if isinstance(target, Label):
-                    name = target.name
-                    if name == EXIT_LABEL:
-                        return self._env_read(state, NEXT_PC_OFFSET)
-                    if name.startswith("TB@"):
-                        return int(name[3:], 16)
-                raise DBTError(
-                    f"unexpected host branch target {target!r}"
-                )
-        raise DBTError("guard trial block fell off its end")
-
-    def _reference_block(self, guest_addr: int) -> tuple:
+    def _reference_block(self, guest_addr: int) -> TranslatedBlock:
         """A pure-TCG translation of the guest block at ``guest_addr``
         (the guard's ground truth), cached separately from the main
         translation cache and charged to no stats view."""
-        cached = self._ref_cache.get(guest_addr)
-        if cached is not None:
-            return cached
-        start_index = self.program.index_of_addr(guest_addr)
-        tcg_block, _ = translate_block(self.program, start_index)
-        assembler = codegen.BlockAssembler()
-        for op in tcg_block.ops:
-            codegen.lower_tcg_op(assembler, op)
-        translated = codegen.finalize_block(assembler, guest_addr)
-        steps = None
-        if self.fast:
-            from repro.dbt.fastexec import compile_block
-
-            steps = compile_block(translated.host_instrs)
-        reference = (translated.host_instrs, steps)
-        self._ref_cache[guest_addr] = reference
+        reference = self._ref_cache.get(guest_addr)
+        if reference is None:
+            reference = self._prepare(self._tcg_block(guest_addr, "qemu"))
+            self._ref_cache[guest_addr] = reference
         return reference
 
     def _retire_blocks(self, doomed: list[int]) -> int:
@@ -702,8 +615,6 @@ class DBTEngine:
         forgotten: their dynamic counters still belong to the run."""
         for addr in doomed:
             tb = self._cache.pop(addr)
-            self._cycles_cache.pop(addr, None)
-            self._steps_cache.pop(addr, None)
             if tb.exec_count:
                 self._retired_blocks.append(tb)
         return len(doomed)

@@ -11,14 +11,19 @@ instruction.
 
 Each step closure returns ``None`` to fall through or a branch-target
 token (the ``Label`` name) when a (taken) control transfer occurs.
+:func:`oracle_block` builds steps of the same shape that interpret
+through the semantics instead, so one engine loop runs either.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from repro.host_x86.isa import CMOV_OPS, CONDITION_FLAGS, JCC_OPS, SETCC_OPS
+from repro.dbt.machine import ConcreteState
+from repro.host_x86 import execute
+from repro.host_x86.isa import CMOV_OPS, JCC_OPS, SETCC_OPS
 from repro.host_x86.registers import is_low8, parent_of
+from repro.isa.alu import ConcreteALU
 from repro.isa.instruction import Instruction
 from repro.isa.operands import Imm, Label, Mem, Reg
 
@@ -435,3 +440,23 @@ def _compile_shift(name: str, ops) -> Step:
 def compile_block(instrs: list[Instruction]) -> list[Step]:
     """Compile a translated block's host code into step closures."""
     return [compile_instruction(instr) for instr in instrs]
+
+
+_ALU = ConcreteALU()
+
+
+def _oracle_step(instr: Instruction) -> Step:
+    def step_oracle(regs, flags, mem):
+        state = ConcreteState(regs, flags, mem)
+        branch = execute(instr, state, _ALU).branch
+        if branch is None or not branch.cond:
+            return None
+        target = branch.target
+        return target.name if isinstance(target, Label) else repr(target)
+    return step_oracle
+
+
+def oracle_block(instrs: list[Instruction]) -> list[Step]:
+    """Step closures interpreting each host instruction through the
+    single-source semantics: the ``fast=False`` oracle."""
+    return [_oracle_step(instr) for instr in instrs]

@@ -3,7 +3,11 @@
 For each guest block the translator selects a *cover*: which guest
 instructions are translated by learned rules (instantiating the rule's
 precompiled host emitter, bypassing TCG) and which go through the
-normal TCG path.  Two cover policies share all the machinery:
+normal TCG path.  One emit loop (``_emit_cover``) does everything
+after the cover decides — rule instantiation, hit book-keeping, miss
+accounting and gap capture, TCG fallback, block close — and asks a
+cover policy's *picker* ``pick(block, i) -> (match, miss reason)`` at
+each position it reaches.  Two pickers:
 
 * ``"greedy"`` — the paper's Section 4 scheme: at every position take
   the longest matching rule, back off to TCG for one instruction on a
@@ -14,7 +18,8 @@ normal TCG path.  Two cover policies share all the machinery:
   — per-rule costs seeded from the emitter's template cycles and
   refined online by the engine's profitability attribution, TCG costs
   from the memoized per-window counterfactual.  The greedy cover is in
-  the DP's search space, so the planned cost is never worse.
+  the DP's search space, so the planned cost is never worse.  Its
+  picker answers from the finished plan.
 
 Register allocation cooperates through the shared
 :class:`~repro.dbt.codegen.BlockAssembler` (guest registers cached in
@@ -34,10 +39,12 @@ from repro.learning.rule import Binding, Rule
 from repro.learning.store import RuleMatch, RuleStore
 from repro.minic.compile import CompiledProgram
 from repro.obs.profiler import phase
+from repro.obs.trace import get_tracer
 from repro.dbt import codegen
 from repro.dbt.codegen import BlockAssembler, tb_label
 from repro.dbt.emitter import RuleApplicationError, get_emitter
 from repro.dbt.frontend import discover_block, translate_instruction
+from repro.dbt.perf import instruction_cycles
 from repro.dbt.tcg import TcgBlock
 
 __all__ = [
@@ -189,8 +196,6 @@ def _counterfactual_tcg(
     first application of a window pays one extra translation, repeats
     are a dict hit.
     """
-    from repro.dbt.perf import instruction_cycles
-
     cache = getattr(program, _COUNTERFACTUAL_ATTR, None)
     if cache is None:
         cache = {}
@@ -364,12 +369,102 @@ def _translate_greedy(
     store: RuleStore | None,
     gap_sink=None,
 ) -> BlockTranslation:
-    """The paper's greedy longest-first cover (Section 4)."""
-    from repro.obs.trace import get_tracer
+    """The paper's greedy longest-first cover (Section 4): one store
+    lookup at every position the emit loop reaches, so a rule that
+    fails to apply backs off to TCG for one instruction and the next
+    position is looked up afresh."""
+    lookups = 0
 
-    from repro.dbt.perf import instruction_cycles
+    def pick(block, i):
+        nonlocal lookups
+        if store is None:
+            return None, None
+        lookups += 1
+        match = store.match_at(block, i)
+        if match is None:
+            return None, MISS_NO_MATCH
+        if not flags_dead_after(match.rule, block, i + match.length):
+            return None, MISS_FLAGS_LIVE
+        if not _binding_applicable(match):
+            return None, MISS_BINDING
+        return match, None
 
+    result = _emit_cover(program, start_index, pick, gap_sink)
+    result.lookup_attempts = lookups
+    return result
+
+
+def _translate_dp(
+    program: CompiledProgram,
+    start_index: int,
+    store: RuleStore,
+    gap_sink=None,
+    cost_hint=None,
+) -> BlockTranslation:
+    """Lowest-cost cover: survey all matches, DP-plan, then emit."""
     block = discover_block(program, start_index)
+    guest_addr = 0x8000 + 4 * start_index
+    with phase("dbt.match"):
+        infos = _survey_positions(block, store)
+
+    def tcg_cost(i: int) -> float:
+        _, _, cycles = _counterfactual_tcg(program, block, i, 1, guest_addr)
+        return cycles
+
+    def rule_cost(match: RuleMatch) -> float:
+        return _rule_plan_cost(match, cost_hint)
+
+    with phase("dbt.cover"):
+        choice, planned, planned_greedy = _plan_cover(
+            block, infos, tcg_cost, rule_cost
+        )
+
+    def pick(block, i):
+        if choice[i] is not None:
+            return choice[i], None
+        if infos[i].applicable:
+            # The cover chose TCG over a live rule on price: traceable,
+            # but not a learning gap — the store already has a rule.
+            return None, MISS_COST_COVER
+        return None, infos[i].reject_reason or MISS_NO_MATCH
+
+    result = _emit_cover(program, start_index, pick, gap_sink, block)
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.event(
+            "dbt.cover",
+            addr=guest_addr,
+            mode="dp",
+            guest_len=len(block),
+            segments=len(result.hit_rules),
+            planned_cost=round(planned, 3),
+            greedy_cost=round(planned_greedy, 3),
+        )
+    result.lookup_attempts = len(block)  # one indexed walk per position
+    result.cover_mode = "dp"
+    result.planned_cost = planned
+    result.planned_cost_greedy = planned_greedy
+    return result
+
+
+def _emit_cover(
+    program: CompiledProgram,
+    start_index: int,
+    pick,
+    gap_sink=None,
+    block: list[Instruction] | None = None,
+) -> BlockTranslation:
+    """The one emit loop both covers share.
+
+    ``pick(block, i) -> (match | None, miss reason | None)`` is the
+    cover's decision at each position the loop reaches.  A match is
+    instantiated (a failed host-ISA constraint backs off to TCG as an
+    ``apply_error`` miss); anything else goes through TCG for one
+    instruction, and a miss reason is counted, traced and — unless the
+    cover priced TCG cheaper on purpose — captured as a gap.
+    """
+    if block is None:
+        block = discover_block(program, start_index)
     guest_addr = 0x8000 + 4 * start_index
     assembler = BlockAssembler()
     covered = [False] * len(block)
@@ -377,28 +472,14 @@ def _translate_greedy(
     hit_profiles: list[HitProfile] = []
     miss_reasons: dict[str, int] = {}
     tcg_ops_total = 0
-    lookups = 0
     tracer = get_tracer()
-
     i = 0
     ended = False
-    # Greedy interleaves matching with emission, so the whole loop is
-    # one emit phase (the DP path separates match/cover/emit).
+    # The greedy picker's lookups run inside this phase; the DP cover
+    # surveys and plans before it, in its own match/cover phases.
     with phase("dbt.emit"):
         while i < len(block):
-            match: RuleMatch | None = None
-            reason: str | None = None
-            if store is not None:
-                lookups += 1
-                match = store.match_at(block, i)
-                if match is None:
-                    reason = MISS_NO_MATCH
-                elif not flags_dead_after(
-                    match.rule, block, i + match.length
-                ):
-                    match, reason = None, MISS_FLAGS_LIVE
-                elif not _binding_applicable(match):
-                    match, reason = None, MISS_BINDING
+            match, reason = pick(block, i)
             if match is not None:
                 hit_host_start = len(assembler.instrs)
                 try:
@@ -406,20 +487,32 @@ def _translate_greedy(
                         match.rule, match.binding, assembler
                     )
                 except RuleApplicationError:
-                    match, reason = None, MISS_APPLY_ERROR
+                    reason = MISS_APPLY_ERROR
                     del assembler.instrs[hit_host_start:]
                 else:
-                    ended |= _commit_hit(
-                        program, block, assembler, match, i, guest_addr,
-                        emitted, branch_cc, covered, hit_rules,
-                        hit_profiles, tracer, instruction_cycles,
-                        hit_host_start,
-                    )
-                    i += match.length
+                    hit_rules.append((match.rule, match.length))
+                    if tracer.enabled:
+                        tracer.event("dbt.rule.hit", addr=guest_addr + 4 * i,
+                                     length=match.length)
+                    end = i + match.length
+                    covered[i:end] = [True] * match.length
+                    if match.rule.has_branch:
+                        taken = program.addr_of(match.binding.label)
+                        assembler.writeback()
+                        assembler.emit(branch_cc, Label(tb_label(taken)))
+                        assembler.emit(
+                            "jmp", Label(tb_label(guest_addr + 4 * end))
+                        )
+                        ended = True
+                    hit_profiles.append(_hit_profile(
+                        program, block, match, i, guest_addr, emitted,
+                        assembler.instrs[hit_host_start:],
+                    ))
+                    i = end
                     continue
             if reason is not None:
                 miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
-                if gap_sink is not None:
+                if gap_sink is not None and reason != MISS_COST_COVER:
                     gap_sink(block[i : i + MAX_GAP_LENGTH])
                 if tracer.enabled:
                     tracer.event(
@@ -444,128 +537,9 @@ def _translate_greedy(
         rule_covered=covered,
         hit_rules=hit_rules,
         tcg_op_count=tcg_ops_total,
-        lookup_attempts=lookups,
+        lookup_attempts=0,
         miss_reasons=miss_reasons,
         hit_profiles=hit_profiles,
-        cover_mode="greedy",
-    )
-
-
-def _translate_dp(
-    program: CompiledProgram,
-    start_index: int,
-    store: RuleStore,
-    gap_sink=None,
-    cost_hint=None,
-) -> BlockTranslation:
-    """Lowest-cost cover: survey all matches, DP-plan, then emit."""
-    from repro.obs.trace import get_tracer
-
-    from repro.dbt.perf import instruction_cycles
-
-    block = discover_block(program, start_index)
-    guest_addr = 0x8000 + 4 * start_index
-    n = len(block)
-    tracer = get_tracer()
-
-    with phase("dbt.match"):
-        infos = _survey_positions(block, store)
-    lookups = n  # one indexed walk per position
-
-    def tcg_cost(i: int) -> float:
-        _, _, cycles = _counterfactual_tcg(program, block, i, 1, guest_addr)
-        return cycles
-
-    def rule_cost(match: RuleMatch) -> float:
-        return _rule_plan_cost(match, cost_hint)
-
-    with phase("dbt.cover"):
-        choice, planned, planned_greedy = _plan_cover(
-            block, infos, tcg_cost, rule_cost
-        )
-
-    assembler = BlockAssembler()
-    covered = [False] * n
-    hit_rules: list[tuple[Rule, int]] = []
-    hit_profiles: list[HitProfile] = []
-    miss_reasons: dict[str, int] = {}
-    tcg_ops_total = 0
-    ended = False
-    i = 0
-    with phase("dbt.emit"):
-        while i < n:
-            match = choice[i]
-            apply_failed = False
-            if match is not None:
-                hit_host_start = len(assembler.instrs)
-                try:
-                    emitted, branch_cc = instantiate_host(
-                        match.rule, match.binding, assembler
-                    )
-                except RuleApplicationError:
-                    # Statically-valid emitters cannot fail on x86, but
-                    # keep the greedy path's per-hit safety net.
-                    del assembler.instrs[hit_host_start:]
-                    apply_failed = True
-                else:
-                    ended |= _commit_hit(
-                        program, block, assembler, match, i, guest_addr,
-                        emitted, branch_cc, covered, hit_rules,
-                        hit_profiles, tracer, instruction_cycles,
-                        hit_host_start,
-                    )
-                    i += match.length
-                    continue
-            info = infos[i]
-            if apply_failed:
-                reason = MISS_APPLY_ERROR
-            elif info.applicable:
-                # The cover chose TCG over a live rule on price:
-                # traceable, but not a learning gap — the store
-                # already has a rule.
-                reason = MISS_COST_COVER
-            else:
-                reason = info.reject_reason or MISS_NO_MATCH
-            miss_reasons[reason] = miss_reasons.get(reason, 0) + 1
-            if gap_sink is not None and reason != MISS_COST_COVER:
-                gap_sink(block[i : i + MAX_GAP_LENGTH])
-            if tracer.enabled:
-                tracer.event(
-                    "dbt.rule.miss", addr=guest_addr + 4 * i,
-                    reason=reason,
-                )
-            ops, instr_ended = _emit_tcg_instruction(
-                program, block, assembler, i, guest_addr
-            )
-            tcg_ops_total += ops
-            ended |= instr_ended
-            i += 1
-        if not ended:
-            assembler.writeback()
-            assembler.emit("jmp", Label(tb_label(guest_addr + 4 * n)))
-        translated = codegen.finalize_block(assembler, guest_addr)
-    if tracer.enabled:
-        tracer.event(
-            "dbt.cover",
-            addr=guest_addr,
-            mode="dp",
-            guest_len=n,
-            segments=len(hit_rules),
-            planned_cost=round(planned, 3),
-            greedy_cost=round(planned_greedy, 3),
-        )
-    return BlockTranslation(
-        host_instrs=translated.host_instrs,
-        guest_instrs=block,
-        rule_covered=covered,
-        hit_rules=hit_rules,
-        tcg_op_count=tcg_ops_total,
-        lookup_attempts=lookups,
-        miss_reasons=miss_reasons,
-        hit_profiles=hit_profiles,
-        cover_mode="dp",
-        planned_cost=planned,
-        planned_cost_greedy=planned_greedy,
     )
 
 
@@ -591,49 +565,24 @@ def _emit_tcg_instruction(
     return len(tcg.ops), ended
 
 
-def _commit_hit(
-    program, block, assembler, match, i, guest_addr, emitted, branch_cc,
-    covered, hit_rules, hit_profiles, tracer, instruction_cycles,
-    hit_host_start,
-) -> bool:
-    """Book-keeping shared by both covers after a successful emit."""
-    hit_rules.append((match.rule, match.length))
-    if tracer.enabled:
-        tracer.event(
-            "dbt.rule.hit", addr=guest_addr + 4 * i, length=match.length,
-        )
-    for j in range(i, i + match.length):
-        covered[j] = True
-    ended = False
-    if match.rule.has_branch:
-        taken = program.addr_of(match.binding.label)
-        fallthrough = guest_addr + 4 * (i + match.length)
-        assembler.writeback()
-        assembler.emit(branch_cc, Label(tb_label(taken)))
-        assembler.emit("jmp", Label(tb_label(fallthrough)))
-        ended = True
-    # Profitability evidence: the rule's actual host code (including
-    # any block-ending writeback + branch it forced) vs. the memoized
-    # TCG counterfactual for the same span.
-    hit_host = assembler.instrs[hit_host_start:]
+def _hit_profile(program, block, match, i, guest_addr, emitted,
+                 hit_host) -> HitProfile:
+    """Profitability evidence of one hit: the rule's actual host code
+    (including any block-ending writeback + branch it forced) vs. the
+    memoized TCG counterfactual for the same span."""
     tcg_ops, tcg_len, tcg_cycles = _counterfactual_tcg(
         program, block, i, match.length, guest_addr
     )
-    hit_profiles.append(HitProfile(
+    return HitProfile(
         rule=match.rule,
         length=match.length,
         rule_host_len=len(match.rule.host),
-        host_cycles=sum(
-            instruction_cycles(instr) for instr in hit_host
-        ),
-        body_cycles=sum(
-            instruction_cycles(instr) for instr in emitted
-        ),
+        host_cycles=sum(instruction_cycles(instr) for instr in hit_host),
+        body_cycles=sum(instruction_cycles(instr) for instr in emitted),
         tcg_ops=tcg_ops,
         tcg_host_len=tcg_len,
         tcg_host_cycles=tcg_cycles,
-    ))
-    return ended
+    )
 
 
 def _binding_applicable(match: RuleMatch) -> bool:

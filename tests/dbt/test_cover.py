@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.dbt import ruletrans
 from repro.dbt.engine import DBTEngine
 from repro.dbt.ruletrans import (
+    COVER_MODES,
+    MISS_APPLY_ERROR,
     MISS_COST_COVER,
+    RuleApplicationError,
     translate_block_with_rules,
 )
 from repro.learning.store import RuleStore
@@ -134,6 +138,66 @@ class TestCostCoverAccounting:
                            cover="dp")
         engine._rule_cost_hint = lambda rule: 1e9
         assert engine.run().return_value == baseline
+
+
+def _fail_first_emit(monkeypatch):
+    """Make the next rule instantiation fail its host constraints."""
+    real = ruletrans.instantiate_host
+    failed = []
+
+    def flaky(rule, binding, assembler):
+        if not failed:
+            failed.append(rule)
+            raise RuleApplicationError("injected")
+        return real(rule, binding, assembler)
+
+    monkeypatch.setattr(ruletrans, "instantiate_host", flaky)
+
+
+class TestApplyError:
+    @pytest.mark.parametrize("cover", COVER_MODES)
+    def test_failed_emit_backs_off_one_instruction(
+            self, program, store, cover, monkeypatch):
+        """A hit whose host code fails to emit misses as
+        ``apply_error`` and TCG translates that one instruction; the
+        greedy cover then looks the next position up afresh."""
+        tried = 0
+        for start in _block_starts(program):
+            clean = translate_block_with_rules(program, start, store,
+                                               cover=cover)
+            if not any(clean.rule_covered):
+                continue
+            first = clean.rule_covered.index(True)
+            fresh = RuleStore.from_rules(store.all_rules())
+            looked_up = []
+
+            def spy(block, i, _match_at=fresh.match_at):
+                looked_up.append(i)
+                return _match_at(block, i)
+
+            with monkeypatch.context() as patch:
+                _fail_first_emit(patch)
+                patch.setattr(fresh, "match_at", spy)
+                result = translate_block_with_rules(program, start, fresh,
+                                                    cover=cover)
+            assert result.miss_reasons.get(MISS_APPLY_ERROR) == 1
+            assert not result.rule_covered[first]
+            if cover == "greedy":
+                assert first + 1 in looked_up
+                assert result.lookup_attempts == len(looked_up)
+            tried += 1
+        assert tried
+
+    @pytest.mark.parametrize("cover", COVER_MODES)
+    def test_failed_emit_keeps_semantics(self, program, store, cover,
+                                         monkeypatch):
+        baseline = DBTEngine(program, "qemu").run().return_value
+        _fail_first_emit(monkeypatch)
+        engine = DBTEngine(program, "rules",
+                           RuleStore.from_rules(store.all_rules()),
+                           cover=cover)
+        assert engine.run().return_value == baseline
+        assert engine.lifetime.rule_miss_reasons[MISS_APPLY_ERROR] == 1
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.dbt.direct import run_arm_program
 from repro.dbt.engine import DBTEngine, DBTError, run_dbt
+from repro.dbt.guard import GuardPolicy
 from repro.learning import learn_rules
 from repro.learning.store import RuleStore
 from repro.minic import compile_source
@@ -56,14 +57,28 @@ class TestCorrectness:
         result = run_dbt(guest, mode, store)
         assert result.return_value == expected
 
-    def test_fast_and_slow_executors_agree(self, guest, expected):
-        fast = DBTEngine(guest, "qemu", fast=True).run()
-        slow = DBTEngine(guest, "qemu", fast=False).run()
-        assert fast.return_value == slow.return_value == expected
-        assert fast.stats.dynamic_host_instructions == \
-            slow.stats.dynamic_host_instructions
-        assert fast.stats.perf.exec_cycles == \
-            pytest.approx(slow.stats.perf.exec_cycles)
+    def test_fast_and_slow_executors_agree(self, guest, rules, expected):
+        """Compiled steps and the semantics oracle account every mode
+        identically, the guard's trial and reference runs included."""
+        cases = [("qemu", None), ("rules", None), ("llvmjit", None),
+                 ("rules", GuardPolicy())]
+        for mode, guard in cases:
+            results = []
+            for fast in (True, False):
+                # A fresh store each: the guard may quarantine rules.
+                store = RuleStore.from_rules(rules.all_rules()) \
+                    if mode == "rules" else None
+                engine = DBTEngine(guest, mode, store, fast=fast,
+                                   guard=guard)
+                results.append(engine.run())
+            fast_run, slow_run = results
+            case = f"{mode} guard={guard is not None}"
+            assert fast_run.return_value == slow_run.return_value \
+                == expected, case
+            assert fast_run.stats.dynamic_host_instructions == \
+                slow_run.stats.dynamic_host_instructions, case
+            assert fast_run.stats.perf.exec_cycles == \
+                slow_run.stats.perf.exec_cycles, case
 
     def test_gcc_style_guest(self, rules):
         gcc_guest = compile_source(SOURCE, "arm", 2, "gcc")
